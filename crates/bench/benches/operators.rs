@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
-use volcano_db::exec::eval::{self, reference};
+use volcano_db::exec::eval::{self, reference, Vals};
 use volcano_db::exec::mat::{FlatJoinMap, JoinTable};
 use volcano_db::exec::plan::{AggKind, ArithOp, CmpOp, ScalarPred};
 use volcano_db::storage::ColData;
@@ -35,7 +35,7 @@ fn join_keys(n: usize) -> ColData {
 
 fn flat_table(keys: &ColData, n: usize) -> JoinTable {
     JoinTable {
-        map: FlatJoinMap::from_parts([eval::build_hash_part(keys, 0, n)]),
+        map: FlatJoinMap::from_parts([eval::build_hash_part(Vals::slice(keys, 0, n))]),
         build_origin: None,
         build_table: "orders",
     }
@@ -64,7 +64,8 @@ fn bench_headline(c: &mut Criterion) {
             (0..n as i64).map(|i| (i * 13) % (2 * n as i64)).collect(),
         ));
         g.bench_with_input(BenchmarkId::new("probe_hash", n), &n, |b, &n| {
-            b.iter(|| black_box(eval::probe_hash(&table, &probe_keys, None, None, 0, n)));
+            let probe = Vals::slice(&probe_keys, 0, n);
+            b.iter(|| black_box(eval::probe_hash(&table, &probe, None, None, 0)));
         });
         g.bench_with_input(BenchmarkId::new("probe_hash_ref", n), &n, |b, &n| {
             b.iter(|| {
@@ -82,7 +83,8 @@ fn bench_headline(c: &mut Criterion) {
         let gkeys = data_i64(n);
         let vals = data_f64(n);
         g.bench_with_input(BenchmarkId::new("group_agg", n), &n, |b, &n| {
-            b.iter(|| black_box(eval::group_agg(&gkeys, Some(&vals), AggKind::Sum, 0, n)));
+            let (k, v) = (Vals::slice(&gkeys, 0, n), Vals::slice(&vals, 0, n));
+            b.iter(|| black_box(eval::group_agg(&k, Some(&v), AggKind::Sum)));
         });
         g.bench_with_input(BenchmarkId::new("group_agg_ref", n), &n, |b, &n| {
             b.iter(|| {
@@ -116,21 +118,21 @@ fn bench_supporting(c: &mut Criterion) {
         b.iter(|| black_box(eval::project(&cands, &qty)));
     });
 
-    let left = data_f64(n);
-    let right = data_f64(n);
+    let (left, right) = (data_f64(n), data_f64(n));
+    let (left, right) = (Vals::slice(&left, 0, n), Vals::slice(&right, 0, n));
     g.bench_function("bin_op_mul", |b| {
-        b.iter(|| black_box(eval::bin_op(&left, &right, ArithOp::Mul, 0, n)));
+        b.iter(|| black_box(eval::bin_op(&left, &right, ArithOp::Mul)));
     });
 
     g.bench_function("aggr_sum", |b| {
-        b.iter(|| black_box(eval::aggr_sum(&left, 0, n)));
+        b.iter(|| black_box(eval::aggr_sum(&left)));
     });
 
     let keys = data_i64(n);
     g.bench_function("build_flat", |b| {
         b.iter(|| {
             black_box(FlatJoinMap::from_parts([eval::build_hash_part(
-                &keys, 0, n,
+                Vals::slice(&keys, 0, n),
             )]))
         });
     });

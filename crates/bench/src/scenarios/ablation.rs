@@ -1,4 +1,6 @@
-//! Ablation of the calibration choices documented in DESIGN.md §5b:
+//! Ablation of the calibration choices (load signal and saturation
+//! guard: `docs/ARCHITECTURE.md`, "The control loop"; data placement:
+//! `volcano_db::exec::engine::Engine::load`):
 //!
 //! 1. load signal: instantaneous demand vs windowed average vs HT/IMC;
 //! 2. the Eq. 1 memory-saturation guard: on vs off;

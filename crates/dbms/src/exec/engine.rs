@@ -9,16 +9,20 @@
 //!   — "SQL Server is NUMA-aware associating threads and processors to
 //!   improve affinity".
 //!
-//! Operators materialise partition-wise: each task allocates and
-//! first-touches its own output slice, so intermediates spread across the
-//! NUMA nodes that ran the operator. Identical sub-plans across concurrent
-//! clients share evaluated results through a memo cache (a simulator
-//! optimisation: simulated time and traffic are charged per execution
-//! regardless; see DESIGN.md §4).
+//! Operators materialise partition-wise in simulated memory: each task
+//! allocates and first-touches its own output slice, so intermediates
+//! spread across the NUMA nodes that ran the operator. On the host,
+//! projections are late-materialised: a projection's value is the
+//! positions it reads through, and consumers gather their partition from
+//! the base column (`ExecInputs::node_vals`). Identical sub-plans across
+//! concurrent clients share evaluated results through a memo cache (a
+//! simulator optimisation: simulated time and traffic are charged per
+//! execution regardless; see `docs/ARCHITECTURE.md`, "The memo cache and
+//! late-materialised projections").
 
 use crate::exec::cost;
 use crate::exec::eval;
-use crate::exec::eval::GroupAcc;
+use crate::exec::eval::{GroupAcc, Vals};
 use crate::exec::fault::{FaultPlan, WorkerFaultKind};
 use crate::exec::mat::{FlatJoinMap, JoinTable, Mat, NodeStorage, PairsMat, PosMat, ValMat};
 use crate::exec::par::QueryError;
@@ -154,10 +158,10 @@ struct NodeRun {
     /// node takes the same evaluate-vs-reuse path (the memo may be
     /// filled or flushed concurrently by other queries).
     memo_hit: Option<(Mat, Vec<usize>)>,
-    /// Shared output buffer of fixed-width value operators: partitions
-    /// write disjoint slices in place, finalize moves the buffer into
-    /// the Mat without a concat copy.
-    out_vals: Option<eval::ValsBuf>,
+    /// Shared output buffer of a `BinOp` node: partitions write disjoint
+    /// slices in place, finalize moves the buffer into the Mat without a
+    /// concat copy.
+    out_vals: Option<Vec<f64>>,
 }
 
 struct QueryRun {
@@ -791,20 +795,10 @@ impl EngineCore {
             }
         }
 
-        // Fixed-width value operators write their partition's slice into
-        // a node-level shared buffer (no finalize concat); the buffer's
-        // type and size are known before evaluation.
-        let val_buf_ty = if memo_hit {
-            None
-        } else {
-            match &op {
-                PhysOp::Project { col, .. } | PhysOp::ProjectSide { col, .. } => {
-                    Some(self.col_bat(col).data.col_type())
-                }
-                PhysOp::BinOp { .. } => Some(crate::storage::bat::ColType::F64),
-                _ => None,
-            }
-        };
+        // `BinOp` writes its partition's slice into a node-level shared
+        // buffer (no finalize concat); the buffer's size is known before
+        // evaluation.
+        let in_place = !memo_hit && matches!(op, PhysOp::BinOp { .. });
         let row_bytes = out_row_bytes(op);
         let mal_name = op.mal_name();
         let cycles_each = op_cycles(op);
@@ -817,23 +811,24 @@ impl EngineCore {
                 .expect("memo pinned at schedule");
             let rows = memo_part_rows(part_rows, task.part, task.n_parts);
             (Partial::Reuse, rows)
-        } else if let Some(ty) = val_buf_ty {
+        } else if in_place {
             let run_mut = self.queries.get_mut(&task.qid.0).expect("dead query");
             let mut buf = run_mut.nodes[task.node.idx()]
                 .out_vals
                 .take()
-                .unwrap_or_else(|| eval::ValsBuf::new(ty, primary_len));
+                .unwrap_or_else(|| vec![0.0; primary_len]);
             evaluate_val_into(
                 run_mut.plan.node(task.node),
-                run_mut,
+                &RunInputs {
+                    run: run_mut,
+                    catalog: &self.catalog,
+                    store: &self.store,
+                },
                 start,
-                end,
-                &self.catalog,
-                &self.store,
-                &mut buf,
+                &mut buf[start..end],
             );
             run_mut.nodes[task.node.idx()].out_vals = Some(buf);
-            (Partial::Written(end - start), end - start)
+            (Partial::Rows(end - start), end - start)
         } else {
             let partial = evaluate_partition(op, run, start, end, &self.catalog, &self.store);
             let rows = partial_rows(&partial);
@@ -986,7 +981,15 @@ impl EngineCore {
             }
             let traffic = ctx.machine.counters_mut().retire_stream(run.stream);
             let root = run.plan.root();
-            let result = run.nodes[root.idx()].mat.clone().expect("root mat missing");
+            let result = root_result(
+                run.plan.node(root),
+                run.nodes[root.idx()].mat.clone().expect("root mat missing"),
+                &RunInputs {
+                    run: &run,
+                    catalog: &self.catalog,
+                    store: &self.store,
+                },
+            );
             self.stats.queries_completed += 1;
             // Steps within one tick share ctx.now, so a sub-tick query
             // could appear to finish before its submission stamp; clamp
@@ -1131,10 +1134,83 @@ impl NodeRun {
 /// both backends on these exact functions is what makes their query
 /// results bitwise identical.
 pub(crate) trait ExecInputs {
+    /// The plan being executed.
+    fn plan(&self) -> &Plan;
     /// A base column's data.
     fn col_data(&self, c: &ColRef) -> &ColData;
-    /// A finished upstream node's materialised result.
+    /// A finished upstream node's value.
     fn node_mat(&self, n: NodeId) -> &Mat;
+
+    /// A finished upstream node read as values — the one read path of
+    /// every value consumer. A projection's value is the positions it
+    /// reads through (`Mat::Pos`), so the view gathers each partition
+    /// from the base column; any other node's materialised column is
+    /// borrowed.
+    fn node_vals(&self, n: NodeId) -> ValView<'_> {
+        match (self.plan().node(n), self.node_mat(n)) {
+            (PhysOp::Project { col, .. } | PhysOp::ProjectSide { col, .. }, Mat::Pos(pos)) => {
+                ValView::Gather {
+                    base: self.col_data(col),
+                    pos,
+                }
+            }
+            (_, mat) => ValView::Col(mat.as_val()),
+        }
+    }
+}
+
+/// A value input as [`ExecInputs::node_vals`] exposes it.
+pub(crate) enum ValView<'a> {
+    /// A materialised column.
+    Col(&'a ValMat),
+    /// A projection: `base[pos]`, gathered partition by partition.
+    Gather {
+        /// The projected base column.
+        base: &'a ColData,
+        /// The positions the projection reads through.
+        pos: &'a PosMat,
+    },
+}
+
+impl<'a> ValView<'a> {
+    /// Rows `[start, end)` as a typed partition.
+    fn part(&self, start: usize, end: usize) -> Vals<'a> {
+        match *self {
+            ValView::Col(v) => Vals::slice(&v.data, start, end),
+            ValView::Gather { base, pos } => Vals::gather(base, &pos.pos[start..end]),
+        }
+    }
+
+    /// Where each row came from, if projected from a base table.
+    fn origin(&self) -> Option<&'a PosMat> {
+        match *self {
+            ValView::Col(v) => v.origin.as_ref(),
+            ValView::Gather { pos, .. } => Some(pos),
+        }
+    }
+
+    /// Rows.
+    fn len(&self) -> usize {
+        match self {
+            ValView::Col(v) => v.data.len(),
+            ValView::Gather { pos, .. } => pos.pos.len(),
+        }
+    }
+}
+
+/// The result a query returns from its root node: a projection at the
+/// root is gathered into a `Mat::Val` here, once, at completion; any
+/// other value is returned as is.
+pub(crate) fn root_result(op: &PhysOp, mat: Mat, inputs: &impl ExecInputs) -> Mat {
+    match (op, mat) {
+        (PhysOp::Project { col, .. } | PhysOp::ProjectSide { col, .. }, Mat::Pos(pos)) => {
+            Mat::Val(ValMat {
+                data: eval::project(&pos.pos, inputs.col_data(col)),
+                origin: Some(pos),
+            })
+        }
+        (_, mat) => mat,
+    }
 }
 
 /// Engine-side [`ExecInputs`]: resolves against the live query run.
@@ -1145,6 +1221,10 @@ struct RunInputs<'a> {
 }
 
 impl ExecInputs for RunInputs<'_> {
+    fn plan(&self) -> &Plan {
+        &self.run.plan
+    }
+
     fn col_data(&self, c: &ColRef) -> &ColData {
         &self.store.get(self.catalog.column(c.table, c.column)).data
     }
@@ -1227,62 +1307,37 @@ pub(crate) fn evaluate_partition_on(
             };
             Partial::Pos(out)
         }
-        PhysOp::Project { positions, col } => {
-            let pos = node_mat(*positions).as_pos();
-            match eval::project(&pos.pos[start..end], col_data(col)) {
-                ColData::I64(v) => {
-                    Partial::ValsI64(Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone()))
-                }
-                ColData::F64(v) => {
-                    Partial::ValsF64(Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone()))
-                }
-            }
-        }
-        PhysOp::ProjectSide { pairs, side, col } => {
-            let pm = node_mat(*pairs).as_pairs();
-            let slice = match side {
-                Side::Probe => &pm.probe.pos[start..end],
-                Side::Build => &pm.build.pos[start..end],
-            };
-            match eval::project(slice, col_data(col)) {
-                ColData::I64(v) => {
-                    Partial::ValsI64(Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone()))
-                }
-                ColData::F64(v) => {
-                    Partial::ValsF64(Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone()))
-                }
-            }
-        }
+        // A projection holds the positions it reads through; consumers
+        // gather from the base column (`ExecInputs::node_vals`).
+        PhysOp::Project { .. } | PhysOp::ProjectSide { .. } => Partial::Rows(end - start),
         PhysOp::BinOp { left, right, op } => {
-            let l = node_mat(*left).as_val();
-            let r = node_mat(*right).as_val();
-            Partial::ValsF64(eval::bin_op(&l.data, &r.data, *op, start, end))
+            let l = inputs.node_vals(*left).part(start, end);
+            let r = inputs.node_vals(*right).part(start, end);
+            Partial::Vals(eval::bin_op(&l, &r, *op))
         }
         PhysOp::AggrSum { values } => {
-            let v = node_mat(*values).as_val();
-            Partial::Sum(eval::aggr_sum(&v.data, start, end))
+            Partial::Sum(eval::aggr_sum(&inputs.node_vals(*values).part(start, end)))
         }
         PhysOp::GroupAgg { keys, values, agg } => {
-            let k = node_mat(*keys).as_val();
-            let v = values.map(|v| node_mat(v).as_val());
-            Partial::Groups(eval::group_agg(
-                &k.data,
-                v.map(|v| &v.data),
-                *agg,
-                start,
-                end,
-            ))
+            let k = inputs.node_vals(*keys).part(start, end);
+            let v = values.map(|v| inputs.node_vals(v).part(start, end));
+            Partial::Groups(eval::group_agg(&k, v.as_ref(), *agg))
         }
-        PhysOp::JoinBuild { keys } => {
-            let k = node_mat(*keys).as_val();
-            Partial::BuildKeys(eval::build_hash_part(&k.data, start, end))
-        }
+        PhysOp::JoinBuild { keys } => Partial::BuildKeys(eval::build_hash_part(
+            inputs.node_vals(*keys).part(start, end),
+        )),
         PhysOp::JoinProbe { build, probe } => {
             let table = node_mat(*build).as_hash();
-            let p = node_mat(*probe).as_val();
-            let probe_origin = p.origin.as_ref().map(|o| o.pos.as_slice());
+            let p = inputs.node_vals(*probe);
+            let probe_origin = p.origin().map(|o| o.pos.as_slice());
             let build_origin = table.build_origin.as_ref().map(|o| o.pos.as_slice());
-            let (po, bo) = eval::probe_hash(table, &p.data, probe_origin, build_origin, start, end);
+            let (po, bo) = eval::probe_hash(
+                table,
+                &p.part(start, end),
+                probe_origin,
+                build_origin,
+                start,
+            );
             Partial::PairParts(po, bo)
         }
         PhysOp::TopN { input, n } => {
@@ -1301,7 +1356,7 @@ fn assemble_mat(
     run: &QueryRun,
     node: NodeId,
     partials: Vec<Option<Partial>>,
-    out_vals: Option<eval::ValsBuf>,
+    out_vals: Option<Vec<f64>>,
     catalog: &Catalog,
     store: &BatStore,
 ) -> Mat {
@@ -1333,7 +1388,7 @@ pub(crate) fn assemble_parts(
     op: &PhysOp,
     inputs: &impl ExecInputs,
     mut partials: Vec<Option<Partial>>,
-    out_vals: Option<eval::ValsBuf>,
+    out_vals: Option<Vec<f64>>,
 ) -> Mat {
     let node_mat = |n: NodeId| -> &Mat { inputs.node_mat(n) };
     let table_of = |col: &ColRef| -> &'static str { col.table };
@@ -1352,31 +1407,20 @@ pub(crate) fn assemble_parts(
                 pos: Arc::new(pos),
             })
         }
-        PhysOp::Project { positions, .. } => {
-            let origin = node_mat(*positions).as_pos().clone();
-            Mat::Val(ValMat {
-                data: vals_data(out_vals, partials),
-                origin: Some(origin),
-            })
-        }
+        // Late-materialised: an `Arc` share of the positions read
+        // through, no value bytes (see `ExecInputs::node_vals`).
+        PhysOp::Project { positions, .. } => Mat::Pos(node_mat(*positions).as_pos().clone()),
         PhysOp::ProjectSide { pairs, side, .. } => {
             let pm = node_mat(*pairs).as_pairs();
-            let origin = match side {
+            Mat::Pos(match side {
                 Side::Probe => pm.probe.clone(),
                 Side::Build => pm.build.clone(),
-            };
-            Mat::Val(ValMat {
-                data: vals_data(out_vals, partials),
-                origin: Some(origin),
             })
         }
-        PhysOp::BinOp { left, .. } => {
-            let origin = node_mat(*left).as_val().origin.clone();
-            Mat::Val(ValMat {
-                data: vals_data(out_vals, partials),
-                origin,
-            })
-        }
+        PhysOp::BinOp { left, .. } => Mat::Val(ValMat {
+            data: ColData::F64(Arc::new(vals_data(out_vals, partials))),
+            origin: inputs.node_vals(*left).origin().cloned(),
+        }),
         PhysOp::AggrSum { .. } => {
             let total: f64 = partials
                 .iter()
@@ -1400,27 +1444,26 @@ pub(crate) fn assemble_parts(
             }
         }
         PhysOp::JoinBuild { keys } => {
-            let k = node_mat(*keys).as_val();
+            let k = inputs.node_vals(*keys);
             let key_parts = partials.iter_mut().map(|p| match p.take() {
                 Some(Partial::BuildKeys(v)) => v,
                 _ => panic!("non-build partial in JoinBuild"),
             });
             let map = FlatJoinMap::from_parts(key_parts);
-            debug_assert_eq!(
-                map.n_rows(),
-                k.data.len(),
-                "build partials must tile the keys"
-            );
-            let build_table = k.origin.as_ref().map(|o| o.table).unwrap_or("unknown");
+            debug_assert_eq!(map.n_rows(), k.len(), "build partials must tile the keys");
+            let build_origin = k.origin().cloned();
+            let build_table = build_origin.as_ref().map_or("unknown", |o| o.table);
             Mat::Hash(Arc::new(JoinTable {
                 map,
-                build_origin: k.origin.clone(),
+                build_origin,
                 build_table,
             }))
         }
         PhysOp::JoinProbe { build, probe } => {
-            let p = node_mat(*probe).as_val();
-            let probe_table = p.origin.as_ref().map(|o| o.table).unwrap_or("unknown");
+            let probe_table = inputs
+                .node_vals(*probe)
+                .origin()
+                .map_or("unknown", |o| o.table);
             let table = node_mat(*build).as_hash();
             let build_table = table
                 .build_origin
@@ -1494,122 +1537,60 @@ fn concat_pos(mut partials: Vec<Option<Partial>>) -> Vec<u32> {
     out
 }
 
-fn concat_vals(mut partials: Vec<Option<Partial>>) -> ColData {
-    let is_f64 = partials
-        .iter()
-        .find_map(|p| match p {
-            Some(Partial::ValsF64(_)) => Some(true),
-            Some(Partial::ValsI64(_)) => Some(false),
-            _ => None,
-        })
-        .unwrap_or(true);
+/// `BinOp` data: the in-place buffer when present (all partitions wrote
+/// their slices), else the concatenated partials (the threads backend).
+fn vals_data(out_vals: Option<Vec<f64>>, mut partials: Vec<Option<Partial>>) -> Vec<f64> {
+    if let Some(buf) = out_vals {
+        debug_assert!(
+            partials.iter().all(|p| matches!(p, Some(Partial::Rows(_)))),
+            "in-place val node produced copied partials"
+        );
+        return buf;
+    }
     let total: usize = partials
         .iter()
         .map(|p| match p {
-            Some(Partial::ValsF64(v)) => v.len(),
-            Some(Partial::ValsI64(v)) => v.len(),
+            Some(Partial::Vals(v)) => v.len(),
             _ => 0,
         })
         .sum();
-    if is_f64 {
-        let mut out: Vec<f64> = Vec::new();
-        for p in partials.iter_mut() {
-            match p.take() {
-                Some(Partial::ValsF64(v)) => {
-                    if out.is_empty() && v.len() == total {
-                        out = v;
-                    } else {
-                        out.reserve(total - out.len());
-                        out.extend_from_slice(&v);
-                    }
+    let mut out: Vec<f64> = Vec::new();
+    for p in partials.iter_mut() {
+        match p.take() {
+            Some(Partial::Vals(v)) => {
+                if out.is_empty() && v.len() == total {
+                    out = v;
+                } else {
+                    out.reserve(total - out.len());
+                    out.extend_from_slice(&v);
                 }
-                Some(Partial::ValsI64(v)) => {
-                    out.reserve(total.saturating_sub(out.len()));
-                    out.extend(v.iter().map(|&x| x as f64));
-                }
-                _ => panic!("non-val partial"),
             }
+            _ => panic!("non-val partial"),
         }
-        ColData::F64(Arc::new(out))
-    } else {
-        let mut out: Vec<i64> = Vec::new();
-        for p in partials.iter_mut() {
-            match p.take() {
-                Some(Partial::ValsI64(v)) => {
-                    if out.is_empty() && v.len() == total {
-                        out = v;
-                    } else {
-                        out.reserve(total - out.len());
-                        out.extend_from_slice(&v);
-                    }
-                }
-                _ => panic!("mixed val partials"),
-            }
-        }
-        ColData::I64(Arc::new(out))
     }
+    out
 }
 
-/// Value-operator data: the in-place buffer when present (all partitions
-/// wrote their slices), else the concatenated partials (tests and
-/// non-engine callers).
-fn vals_data(out_vals: Option<eval::ValsBuf>, partials: Vec<Option<Partial>>) -> ColData {
-    match out_vals {
-        Some(buf) => {
-            debug_assert!(
-                partials
-                    .iter()
-                    .all(|p| matches!(p, Some(Partial::Written(_)))),
-                "in-place val node produced copied partials"
-            );
-            buf.into_coldata()
-        }
-        None => concat_vals(partials),
-    }
-}
-
-/// Evaluates one partition of a fixed-width value operator straight into
-/// the node's shared output buffer.
-fn evaluate_val_into(
-    op: &PhysOp,
-    run: &QueryRun,
-    start: usize,
-    end: usize,
-    catalog: &Catalog,
-    store: &BatStore,
-    buf: &mut eval::ValsBuf,
-) {
-    let col_data = |c: &ColRef| -> &ColData { &store.get(catalog.column(c.table, c.column)).data };
-    let node_mat =
-        |n: NodeId| -> &Mat { run.nodes[n.idx()].mat.as_ref().expect("input mat ready") };
+/// Evaluates one partition of a `BinOp`, rows `[start, start +
+/// out.len())`, straight into its slice of the node's shared output
+/// buffer.
+fn evaluate_val_into(op: &PhysOp, inputs: &impl ExecInputs, start: usize, out: &mut [f64]) {
+    let end = start + out.len();
     match op {
-        PhysOp::Project { positions, col } => {
-            let pos = node_mat(*positions).as_pos();
-            eval::project_into(&pos.pos[start..end], col_data(col), buf, start);
-        }
-        PhysOp::ProjectSide { pairs, side, col } => {
-            let pm = node_mat(*pairs).as_pairs();
-            let slice = match side {
-                Side::Probe => &pm.probe.pos[start..end],
-                Side::Build => &pm.build.pos[start..end],
-            };
-            eval::project_into(slice, col_data(col), buf, start);
-        }
         PhysOp::BinOp { left, right, op } => {
-            let l = node_mat(*left).as_val();
-            let r = node_mat(*right).as_val();
-            eval::bin_op_into(&l.data, &r.data, *op, start, end, buf);
+            let l = inputs.node_vals(*left).part(start, end);
+            let r = inputs.node_vals(*right).part(start, end);
+            eval::bin_op_into(&l, &r, *op, out);
         }
-        other => panic!("not a fixed-width value operator: {}", other.mal_name()),
+        other => panic!("not an in-place value operator: {}", other.mal_name()),
     }
 }
 
 fn partial_rows(p: &Partial) -> usize {
     match p {
         Partial::Pos(v) => v.len(),
-        Partial::ValsF64(v) => v.len(),
-        Partial::ValsI64(v) => v.len(),
-        Partial::Written(rows) => *rows,
+        Partial::Vals(v) => v.len(),
+        Partial::Rows(rows) => *rows,
         Partial::PairParts(a, _) => a.len(),
         Partial::Sum(_) => 0,
         Partial::Groups(acc) => acc.n_groups(),
@@ -1860,5 +1841,84 @@ impl EngineCore {
             self.parked.resize_with(idx + 1, || None);
         }
         self.parked[idx] = Some(cursor);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{drain_results, spawn_clients, Workload};
+    use crate::tpch::{build_query, QuerySpec, TpchScale};
+    use emca_metrics::SimTime;
+    use os_sim::{CoreMask, Kernel, KernelConfig};
+
+    #[test]
+    fn projection_memo_entries_own_no_value_bytes() {
+        let kernel_cfg = KernelConfig::default();
+        let machine =
+            numa_sim::Machine::new(numa_sim::MachineConfig::opteron_4x4(), kernel_cfg.tick);
+        let mut kernel = Kernel::new(machine, kernel_cfg);
+        let data = TpchData::generate(TpchScale::test_tiny());
+        let engine = Engine::new(
+            EngineConfig::default(),
+            kernel.machine().topology().n_nodes(),
+        );
+        engine.load(kernel.machine_mut(), &data, None);
+        let group = kernel.create_group(CoreMask::all(kernel.machine().topology()));
+        engine.start_workers(&mut kernel, group);
+        // Q3 projects through selections (`Project`) and through both
+        // sides of join pairs (`ProjectSide`); the second run is served
+        // from the memo.
+        let spec = QuerySpec::Tpch {
+            number: 3,
+            variant: 0,
+        };
+        let logs = spawn_clients(
+            &mut kernel,
+            &engine,
+            group,
+            1,
+            Workload::Repeat {
+                spec,
+                iterations: 2,
+            },
+        );
+        let finished =
+            kernel.run_until_cond(SimTime::from_secs(300), |_| drain_results(&logs).len() == 2);
+        assert!(finished, "Q3 did not finish twice");
+        let results = drain_results(&logs);
+        assert_eq!(
+            format!("{:?}", results[0].result),
+            format!("{:?}", results[1].result)
+        );
+
+        let plan = build_query(&spec);
+        let fps = fingerprint_plan(&plan);
+        let core = engine.core_ref();
+        let memo = |n: NodeId| &core.memo[&fps[n.idx()]].mat;
+        let mut checked = 0;
+        for (i, op) in plan.nodes().iter().enumerate() {
+            let input = match op {
+                PhysOp::Project { positions, .. } => memo(*positions).as_pos(),
+                PhysOp::ProjectSide { pairs, side, .. } => match side {
+                    Side::Probe => &memo(*pairs).as_pairs().probe,
+                    Side::Build => &memo(*pairs).as_pairs().build,
+                },
+                _ => continue,
+            };
+            let Mat::Pos(own) = memo(NodeId(i as u16)) else {
+                panic!("{} node {i} holds materialised values", op.mal_name());
+            };
+            assert!(
+                Arc::ptr_eq(&own.pos, &input.pos),
+                "{} node {i} copied its positions",
+                op.mal_name()
+            );
+            checked += 1;
+        }
+        assert_eq!(
+            checked, 7,
+            "Q3 has three Project and four ProjectSide nodes"
+        );
     }
 }

@@ -4,10 +4,11 @@
 //! selectivities, join fan-outs and group cardinalities are authentic —
 //! the simulation only *times* the work, it does not fake the data flow.
 //! All functions operate on partition slices so tasks can evaluate their
-//! chunk independently.
+//! chunk independently: the selections take a base column and a row or
+//! candidate range, the value kernels take typed partitions ([`Vals`]).
 //!
 //! The public kernels are *monomorphized*: each dispatches on the
-//! `ColData` variant and the predicate/operator shape **once per call**,
+//! column type and the predicate/operator shape **once per call**,
 //! then runs a tight typed loop over `&[i64]` / `&[f64]` slices with a
 //! capacity-estimated output. The straightforward per-row formulations
 //! they replaced live on in [`mod@reference`], which the property tests and
@@ -20,6 +21,8 @@ use crate::exec::mat::JoinTable;
 use crate::exec::plan::{AggKind, ArithOp, CmpOp, ScalarPred};
 use crate::storage::bat::ColData;
 use emca_metrics::FxHashMap;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 impl ScalarPred {
     /// Tests one value (integer columns compare exactly in f64 for the
@@ -336,32 +339,41 @@ fn zip_cmp<T: Copy>(
     }
 }
 
-/// A node-level output buffer for fixed-width value operators
-/// (`Project`/`ProjectSide`/`BinOp`): every partition writes its slice
-/// in place, so finalize hands the vector to the `Mat` without the
-/// concat memcpy.
-#[derive(Debug)]
-pub enum ValsBuf {
-    /// Integer output.
-    I64(Vec<i64>),
-    /// Float output.
-    F64(Vec<f64>),
+/// One partition of a value input as a typed slice: rows borrowed from
+/// a materialised column, or values gathered through positions from a
+/// base column. The gathered form is how a late-materialised projection
+/// is read — a projection node holds only the positions it reads
+/// through, and each consumer gathers its own partition.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Vals<'a> {
+    /// Integer values.
+    I64(Cow<'a, [i64]>),
+    /// Float values.
+    F64(Cow<'a, [f64]>),
 }
 
-impl ValsBuf {
-    /// A zeroed buffer of `len` rows matching `ty`.
-    pub fn new(ty: crate::storage::bat::ColType, len: usize) -> Self {
-        match ty {
-            crate::storage::bat::ColType::I64 => ValsBuf::I64(vec![0; len]),
-            crate::storage::bat::ColType::F64 => ValsBuf::F64(vec![0.0; len]),
+impl<'a> Vals<'a> {
+    /// Rows `[start, end)` of a materialised column, borrowed.
+    pub fn slice(col: &'a ColData, start: usize, end: usize) -> Self {
+        match col {
+            ColData::I64(v) => Vals::I64(Cow::Borrowed(&v[start..end])),
+            ColData::F64(v) => Vals::F64(Cow::Borrowed(&v[start..end])),
+        }
+    }
+
+    /// `col[positions]`, gathered into an owned partition buffer.
+    pub fn gather(col: &ColData, positions: &[u32]) -> Self {
+        match col {
+            ColData::I64(v) => Vals::I64(Cow::Owned(gather(v, positions))),
+            ColData::F64(v) => Vals::F64(Cow::Owned(gather(v, positions))),
         }
     }
 
     /// Rows.
     pub fn len(&self) -> usize {
         match self {
-            ValsBuf::I64(v) => v.len(),
-            ValsBuf::F64(v) => v.len(),
+            Vals::I64(v) => v.len(),
+            Vals::F64(v) => v.len(),
         }
     }
 
@@ -369,67 +381,30 @@ impl ValsBuf {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Converts into shared column data (no copy).
-    pub fn into_coldata(self) -> ColData {
-        match self {
-            ValsBuf::I64(v) => ColData::I64(std::sync::Arc::new(v)),
-            ValsBuf::F64(v) => ColData::F64(std::sync::Arc::new(v)),
-        }
+#[inline]
+fn gather<T: Copy>(v: &[T], positions: &[u32]) -> Vec<T> {
+    positions.iter().map(|&p| v[p as usize]).collect()
+}
+
+/// `projection`: fetch `col[positions]`, preserving the column type.
+pub fn project(positions: &[u32], col: &ColData) -> ColData {
+    match col {
+        ColData::I64(v) => ColData::I64(Arc::new(gather(v, positions))),
+        ColData::F64(v) => ColData::F64(Arc::new(gather(v, positions))),
     }
 }
 
-/// `projection` into a node buffer slice: writes `col[positions]` to
-/// `buf[start .. start + positions.len()]`.
-pub fn project_into(positions: &[u32], col: &ColData, buf: &mut ValsBuf, start: usize) {
-    match (col, buf) {
-        (ColData::I64(v), ValsBuf::I64(b)) => {
-            for (o, &p) in b[start..start + positions.len()].iter_mut().zip(positions) {
-                *o = v[p as usize];
-            }
-        }
-        (ColData::F64(v), ValsBuf::F64(b)) => {
-            for (o, &p) in b[start..start + positions.len()].iter_mut().zip(positions) {
-                *o = v[p as usize];
-            }
-        }
-        _ => panic!("projection buffer type mismatch"),
-    }
-}
-
-/// `batcalc` into a node buffer slice: writes the element-wise result
-/// for rows `[start, end)` of the aligned inputs into the same rows of
-/// `buf` (always f64).
-pub fn bin_op_into(
-    left: &ColData,
-    right: &ColData,
-    op: ArithOp,
-    start: usize,
-    end: usize,
-    buf: &mut ValsBuf,
-) {
-    let ValsBuf::F64(b) = buf else {
-        panic!("batcalc buffer must be f64");
-    };
-    let out = &mut b[start..end];
+/// `batcalc` into a destination slice: the element-wise result of the
+/// aligned partitions `left` and `right` (always f64).
+pub fn bin_op_into(left: &Vals<'_>, right: &Vals<'_>, op: ArithOp, out: &mut [f64]) {
+    debug_assert!(left.len() == out.len() && right.len() == out.len());
     match (left, right) {
-        (ColData::F64(l), ColData::F64(r)) => {
-            zip_arith_into(&l[start..end], &r[start..end], op, out, |x| x, |x| x)
-        }
-        (ColData::I64(l), ColData::I64(r)) => zip_arith_into(
-            &l[start..end],
-            &r[start..end],
-            op,
-            out,
-            |x| x as f64,
-            |x| x as f64,
-        ),
-        (ColData::I64(l), ColData::F64(r)) => {
-            zip_arith_into(&l[start..end], &r[start..end], op, out, |x| x as f64, |x| x)
-        }
-        (ColData::F64(l), ColData::I64(r)) => {
-            zip_arith_into(&l[start..end], &r[start..end], op, out, |x| x, |x| x as f64)
-        }
+        (Vals::F64(l), Vals::F64(r)) => zip_arith_into(l, r, op, out, |x| x, |x| x),
+        (Vals::I64(l), Vals::I64(r)) => zip_arith_into(l, r, op, out, |x| x as f64, |x| x as f64),
+        (Vals::I64(l), Vals::F64(r)) => zip_arith_into(l, r, op, out, |x| x as f64, |x| x),
+        (Vals::F64(l), Vals::I64(r)) => zip_arith_into(l, r, op, out, |x| x, |x| x as f64),
     }
 }
 
@@ -458,66 +433,21 @@ fn zip_arith_into<L: Copy, R: Copy>(
     }
 }
 
-/// `projection`: fetch `col[positions]`, preserving the column type.
-pub fn project(positions: &[u32], col: &ColData) -> ColData {
-    match col {
-        ColData::I64(v) => ColData::I64(std::sync::Arc::new(
-            positions.iter().map(|&p| v[p as usize]).collect(),
-        )),
-        ColData::F64(v) => ColData::F64(std::sync::Arc::new(
-            positions.iter().map(|&p| v[p as usize]).collect(),
-        )),
-    }
+/// `batcalc`: element-wise arithmetic over aligned partitions.
+pub fn bin_op(left: &Vals<'_>, right: &Vals<'_>, op: ArithOp) -> Vec<f64> {
+    let mut out = vec![0.0; left.len()];
+    bin_op_into(left, right, op, &mut out);
+    out
 }
 
-/// `batcalc`: element-wise arithmetic over aligned slices.
-pub fn bin_op(left: &ColData, right: &ColData, op: ArithOp, start: usize, end: usize) -> Vec<f64> {
-    match (left, right) {
-        (ColData::F64(l), ColData::F64(r)) => {
-            zip_arith(&l[start..end], &r[start..end], op, |x| x, |x| x)
-        }
-        (ColData::I64(l), ColData::I64(r)) => zip_arith(
-            &l[start..end],
-            &r[start..end],
-            op,
-            |x| x as f64,
-            |x| x as f64,
-        ),
-        (ColData::I64(l), ColData::F64(r)) => {
-            zip_arith(&l[start..end], &r[start..end], op, |x| x as f64, |x| x)
-        }
-        (ColData::F64(l), ColData::I64(r)) => {
-            zip_arith(&l[start..end], &r[start..end], op, |x| x, |x| x as f64)
-        }
-    }
-}
-
-/// Typed element-wise arithmetic, monomorphized per op and type pair.
-#[inline(always)]
-fn zip_arith<L: Copy, R: Copy>(
-    l: &[L],
-    r: &[R],
-    op: ArithOp,
-    cl: impl Fn(L) -> f64 + Copy,
-    cr: impl Fn(R) -> f64 + Copy,
-) -> Vec<f64> {
-    let zip = l.iter().zip(r.iter());
-    match op {
-        ArithOp::Add => zip.map(|(&a, &b)| cl(a) + cr(b)).collect(),
-        ArithOp::Sub => zip.map(|(&a, &b)| cl(a) - cr(b)).collect(),
-        ArithOp::Mul => zip.map(|(&a, &b)| cl(a) * cr(b)).collect(),
-        ArithOp::MulOneMinus => zip.map(|(&a, &b)| cl(a) * (1.0 - cr(b))).collect(),
-    }
-}
-
-/// `aggr.sum` over a slice. Integer columns sum in the integer domain
-/// (one conversion at the end instead of one per row) — identical to the
-/// sequential f64 sum for the generated value ranges, where every
+/// `aggr.sum` over a partition. Integer columns sum in the integer
+/// domain (one conversion at the end instead of one per row) — identical
+/// to the sequential f64 sum for the generated value ranges, where every
 /// partial sum is exactly representable.
-pub fn aggr_sum(values: &ColData, start: usize, end: usize) -> f64 {
+pub fn aggr_sum(values: &Vals<'_>) -> f64 {
     match values {
-        ColData::F64(v) => v[start..end].iter().sum(),
-        ColData::I64(v) => v[start..end].iter().map(|&x| x as i128).sum::<i128>() as f64,
+        Vals::F64(v) => v.iter().sum(),
+        Vals::I64(v) => v.iter().map(|&x| x as i128).sum::<i128>() as f64,
     }
 }
 
@@ -640,33 +570,29 @@ fn or_shifted(dst: &mut [u64], src: &[u64], off: usize) {
     }
 }
 
-/// Partial hash group-by over aligned key/value slices. Small key
+/// Partial hash group-by over aligned key/value partitions. Small key
 /// domains accumulate into a flat dense array; wide domains hash.
-pub fn group_agg(
-    keys: &ColData,
-    values: Option<&ColData>,
-    agg: AggKind,
-    start: usize,
-    end: usize,
-) -> GroupAcc {
-    if start >= end {
+pub fn group_agg(keys: &Vals<'_>, values: Option<&Vals<'_>>, agg: AggKind) -> GroupAcc {
+    if keys.is_empty() {
         return GroupAcc::empty();
     }
     if let (AggKind::Sum, None) = (agg, values) {
         panic!("Sum aggregate without a value column");
     }
-    let ColData::I64(kv) = keys else {
-        // Float key columns are not produced by the planner; keep the
-        // straightforward per-row path for completeness.
-        return GroupAcc::Hash(reference::group_agg(keys, values, agg, start, end));
+    debug_assert!(values.is_none_or(|v| v.len() == keys.len()));
+    let ks: Cow<'_, [i64]> = match keys {
+        Vals::I64(k) => Cow::Borrowed(k),
+        // Float key columns are not produced by the planner; they group
+        // by their truncated value, like `ColData::value_i64`.
+        Vals::F64(k) => k.iter().map(|&x| x as i64).collect(),
     };
-    let ks = &kv[start..end];
+    let ks = &ks[..];
     let (lo, hi) = key_bounds(ks);
     let span = (hi as i128 - lo as i128) + 1;
     // Dense pays a span-sized zeroing up front: only worth it when the
     // partition has enough rows to amortise it (the representation is
     // merge-compatible either way, so the cutoff is pure tuning).
-    if span <= DENSE_GROUP_SPAN as i128 && span <= 8 * (end - start) as i128 {
+    if span <= DENSE_GROUP_SPAN as i128 && span <= 8 * ks.len() as i128 {
         let span = span as usize;
         let mut sums = vec![0.0f64; span];
         let mut seen = vec![0u64; span.div_ceil(64)];
@@ -678,15 +604,15 @@ pub fn group_agg(
                     dense_mark(&mut seen, idx);
                 }
             }
-            (AggKind::Sum, Some(ColData::F64(vv))) => {
-                for (&k, &v) in ks.iter().zip(&vv[start..end]) {
+            (AggKind::Sum, Some(Vals::F64(vv))) => {
+                for (&k, &v) in ks.iter().zip(vv.iter()) {
                     let idx = (k - lo) as usize;
                     sums[idx] += v;
                     dense_mark(&mut seen, idx);
                 }
             }
-            (AggKind::Sum, Some(ColData::I64(vv))) => {
-                for (&k, &v) in ks.iter().zip(&vv[start..end]) {
+            (AggKind::Sum, Some(Vals::I64(vv))) => {
+                for (&k, &v) in ks.iter().zip(vv.iter()) {
                     let idx = (k - lo) as usize;
                     sums[idx] += v as f64;
                     dense_mark(&mut seen, idx);
@@ -703,20 +629,20 @@ pub fn group_agg(
         // Wide-domain fallback: group count is unknown but bounded by
         // the row count; reserving it up front avoids the rehash ladder
         // (each doubling re-inserts everything).
-        let mut m = FxHashMap::with_capacity_and_hasher(end - start, Default::default());
+        let mut m = FxHashMap::with_capacity_and_hasher(ks.len(), Default::default());
         match (agg, values) {
             (AggKind::Count, _) => {
                 for &k in ks {
                     *m.entry(k).or_insert(0.0) += 1.0;
                 }
             }
-            (AggKind::Sum, Some(ColData::F64(vv))) => {
-                for (&k, &v) in ks.iter().zip(&vv[start..end]) {
+            (AggKind::Sum, Some(Vals::F64(vv))) => {
+                for (&k, &v) in ks.iter().zip(vv.iter()) {
                     *m.entry(k).or_insert(0.0) += v;
                 }
             }
-            (AggKind::Sum, Some(ColData::I64(vv))) => {
-                for (&k, &v) in ks.iter().zip(&vv[start..end]) {
+            (AggKind::Sum, Some(Vals::I64(vv))) => {
+                for (&k, &v) in ks.iter().zip(vv.iter()) {
                     *m.entry(k).or_insert(0.0) += v as f64;
                 }
             }
@@ -794,39 +720,42 @@ pub fn merge_groups(parts: impl IntoIterator<Item = GroupAcc>) -> Vec<(i64, f64)
 /// keys for global rows `start..end`, so partials concatenate directly).
 /// The actual bucket linking happens once, at merge, in
 /// [`FlatJoinMap::from_parts`](crate::exec::mat::FlatJoinMap::from_parts) — no per-key allocation, no re-hash.
-pub fn build_hash_part(keys: &ColData, start: usize, end: usize) -> Vec<i64> {
+/// A gathered integer partition is taken as the key vector without a copy.
+pub fn build_hash_part(keys: Vals<'_>) -> Vec<i64> {
     match keys {
-        ColData::I64(v) => v[start..end].to_vec(),
-        ColData::F64(v) => v[start..end].iter().map(|&x| x as i64).collect(),
+        Vals::I64(v) => v.into_owned(),
+        Vals::F64(v) => v.iter().map(|&x| x as i64).collect(),
     }
 }
 
-/// Probe: for probe rows `[start, end)` of `probe_keys`, emit
+/// Probe: for the probe partition `probe_keys`, which holds rows
+/// `[start, start + len)` of the probe input, emit
 /// `(probe_base_pos, build_base_pos)` for every match. Base positions are
 /// resolved through the provenance maps (`None` = the key vector indexes
-/// the base table directly); resolution shape is hoisted out of the
-/// match loop. Matches per key are emitted in ascending build index —
-/// the same order the per-key vectors used to store.
+/// the base table directly), which are indexed by global row; resolution
+/// shape is hoisted out of the match loop. Matches per key are emitted
+/// in ascending build index — the same order the per-key vectors used to
+/// store.
 pub fn probe_hash(
     table: &JoinTable,
-    probe_keys: &ColData,
+    probe_keys: &Vals<'_>,
     probe_origin: Option<&[u32]>,
     build_origin: Option<&[u32]>,
     start: usize,
-    end: usize,
 ) -> (Vec<u32>, Vec<u32>) {
     // Modest initial reservation: fan-out is unknown, and reserving the
     // full probe width per task costs fresh kernel pages (the partials
     // outlive the call, so buffers cannot be pooled). Doubling from a
     // block-sized floor amortises the growth.
-    let cap = (end.saturating_sub(start)).clamp(16, 16384);
+    let cap = probe_keys.len().clamp(16, 16384);
     let mut probe_out = Vec::with_capacity(cap);
     let mut build_out = Vec::with_capacity(cap);
     let map = &table.map;
     macro_rules! walk {
-        ($key_of:expr, $pres:expr, $bres:expr) => {
-            for i in start..end {
-                map.for_each_match($key_of(i), |b| {
+        ($keys:expr, $key_of:expr, $pres:expr, $bres:expr) => {
+            for (j, &k) in $keys.iter().enumerate() {
+                let i = start + j;
+                map.for_each_match($key_of(k), |b| {
                     probe_out.push($pres(i));
                     build_out.push($bres(b));
                 });
@@ -834,18 +763,20 @@ pub fn probe_hash(
         };
     }
     macro_rules! dispatch_origins {
-        ($key_of:expr) => {
+        ($keys:expr, $key_of:expr) => {
             match (probe_origin, build_origin) {
-                (None, None) => walk!($key_of, |i| i as u32, |b| b),
-                (Some(po), None) => walk!($key_of, |i: usize| po[i], |b| b),
-                (None, Some(bo)) => walk!($key_of, |i| i as u32, |b: u32| bo[b as usize]),
-                (Some(po), Some(bo)) => walk!($key_of, |i: usize| po[i], |b: u32| bo[b as usize]),
+                (None, None) => walk!($keys, $key_of, |i| i as u32, |b| b),
+                (Some(po), None) => walk!($keys, $key_of, |i: usize| po[i], |b| b),
+                (None, Some(bo)) => walk!($keys, $key_of, |i| i as u32, |b: u32| bo[b as usize]),
+                (Some(po), Some(bo)) => {
+                    walk!($keys, $key_of, |i: usize| po[i], |b: u32| bo[b as usize])
+                }
             }
         };
     }
     match probe_keys {
-        ColData::I64(v) => dispatch_origins!(|i: usize| v[i]),
-        ColData::F64(v) => dispatch_origins!(|i: usize| v[i] as i64),
+        Vals::I64(v) => dispatch_origins!(v, |k: i64| k),
+        Vals::F64(v) => dispatch_origins!(v, |k: f64| k as i64),
     }
     (probe_out, build_out)
 }
@@ -1033,7 +964,6 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::exec::mat::FlatJoinMap;
-    use std::sync::Arc;
 
     fn f64s(v: Vec<f64>) -> ColData {
         ColData::F64(Arc::new(v))
@@ -1041,6 +971,11 @@ mod tests {
 
     fn i64s(v: Vec<i64>) -> ColData {
         ColData::I64(Arc::new(v))
+    }
+
+    /// Every row of a column as one partition.
+    fn all(c: &ColData) -> Vals<'_> {
+        Vals::slice(c, 0, c.len())
     }
 
     #[test]
@@ -1111,37 +1046,43 @@ mod tests {
         assert_eq!(out.as_i64(), &[30, 10]);
         let f = f64s(vec![1.5, 2.5]);
         assert_eq!(project(&[1], &f).as_f64(), &[2.5]);
+        assert_eq!(
+            Vals::gather(&c, &[2, 0]),
+            Vals::I64(Cow::Owned(vec![30, 10]))
+        );
     }
 
     #[test]
     fn binop_and_sum() {
         let l = f64s(vec![100.0, 200.0]);
         let r = f64s(vec![0.1, 0.2]);
-        assert_eq!(bin_op(&l, &r, ArithOp::Mul, 0, 2), vec![10.0, 40.0]);
-        assert_eq!(aggr_sum(&f64s(vec![1.0, 2.0, 3.0]), 0, 3), 6.0);
-        assert_eq!(aggr_sum(&f64s(vec![1.0, 2.0, 3.0]), 1, 2), 2.0);
+        assert_eq!(bin_op(&all(&l), &all(&r), ArithOp::Mul), vec![10.0, 40.0]);
+        let s = f64s(vec![1.0, 2.0, 3.0]);
+        assert_eq!(aggr_sum(&all(&s)), 6.0);
+        assert_eq!(aggr_sum(&Vals::slice(&s, 1, 2)), 2.0);
         // Integer sum stays in the integer domain.
-        assert_eq!(aggr_sum(&i64s(vec![2, 3, 4]), 0, 3), 9.0);
+        assert_eq!(aggr_sum(&all(&i64s(vec![2, 3, 4]))), 9.0);
     }
 
     #[test]
     fn binop_typed_combinations() {
         let l = i64s(vec![10, 20]);
         let r = f64s(vec![0.5, 0.25]);
-        assert_eq!(bin_op(&l, &r, ArithOp::MulOneMinus, 0, 2), vec![5.0, 15.0]);
-        assert_eq!(bin_op(&r, &l, ArithOp::Add, 0, 2), vec![10.5, 20.25]);
+        let (l, r) = (all(&l), all(&r));
+        assert_eq!(bin_op(&l, &r, ArithOp::MulOneMinus), vec![5.0, 15.0]);
+        assert_eq!(bin_op(&r, &l, ArithOp::Add), vec![10.5, 20.25]);
         let r2 = i64s(vec![1, 2]);
-        assert_eq!(bin_op(&l, &r2, ArithOp::Sub, 0, 2), vec![9.0, 18.0]);
+        assert_eq!(bin_op(&l, &all(&r2), ArithOp::Sub), vec![9.0, 18.0]);
     }
 
     #[test]
     fn group_agg_sum_and_count() {
         let keys = i64s(vec![1, 2, 1, 2, 1]);
         let vals = f64s(vec![10.0, 20.0, 30.0, 40.0, 50.0]);
-        let m = group_agg(&keys, Some(&vals), AggKind::Sum, 0, 5);
+        let m = group_agg(&all(&keys), Some(&all(&vals)), AggKind::Sum);
         assert!(matches!(m, GroupAcc::Dense { .. }));
         assert_eq!(m.n_groups(), 2);
-        let c = group_agg(&keys, None, AggKind::Count, 0, 5);
+        let c = group_agg(&all(&keys), None, AggKind::Count);
         let merged = merge_groups([m, c]);
         assert_eq!(merged, vec![(1, 93.0), (2, 62.0)]);
     }
@@ -1150,7 +1091,7 @@ mod tests {
     fn group_agg_wide_domain_hashes() {
         let keys = i64s(vec![0, 1 << 30, 0]);
         let vals = f64s(vec![1.0, 2.0, 3.0]);
-        let acc = group_agg(&keys, Some(&vals), AggKind::Sum, 0, 3);
+        let acc = group_agg(&all(&keys), Some(&all(&vals)), AggKind::Sum);
         assert!(matches!(acc, GroupAcc::Hash(_)));
         assert_eq!(acc.into_sorted(), vec![(0, 4.0), (1 << 30, 2.0)]);
     }
@@ -1159,13 +1100,8 @@ mod tests {
     fn merge_groups_mixed_forms() {
         // One dense, one hash, one pairs partial — per-key totals must
         // still combine in part order.
-        let dense = group_agg(
-            &i64s(vec![5, 6, 5]),
-            Some(&f64s(vec![1.0, 2.0, 3.0])),
-            AggKind::Sum,
-            0,
-            3,
-        );
+        let (k, v) = (i64s(vec![5, 6, 5]), f64s(vec![1.0, 2.0, 3.0]));
+        let dense = group_agg(&all(&k), Some(&all(&v)), AggKind::Sum);
         let mut h = FxHashMap::default();
         h.insert(6i64, 10.0);
         h.insert(99i64, 1.0);
@@ -1178,12 +1114,12 @@ mod tests {
     fn hash_join_roundtrip() {
         let build_keys = i64s(vec![10, 20, 10]);
         let table = JoinTable {
-            map: FlatJoinMap::from_parts([build_hash_part(&build_keys, 0, 3)]),
+            map: FlatJoinMap::from_parts([build_hash_part(all(&build_keys))]),
             build_origin: None,
             build_table: "orders",
         };
         let probe_keys = i64s(vec![20, 10, 99]);
-        let (p, b) = probe_hash(&table, &probe_keys, None, None, 0, 3);
+        let (p, b) = probe_hash(&table, &all(&probe_keys), None, None, 0);
         // probe row 0 matches build row 1; probe row 1 matches build 0 and 2.
         assert_eq!(p, vec![0, 1, 1]);
         assert_eq!(b, vec![1, 0, 2]);
@@ -1196,14 +1132,14 @@ mod tests {
         let build_keys = i64s(vec![7, 8, 7, 7]);
         let table = JoinTable {
             map: FlatJoinMap::from_parts([
-                build_hash_part(&build_keys, 0, 2),
-                build_hash_part(&build_keys, 2, 4),
+                build_hash_part(Vals::slice(&build_keys, 0, 2)),
+                build_hash_part(Vals::slice(&build_keys, 2, 4)),
             ]),
             build_origin: None,
             build_table: "orders",
         };
         let probe_keys = i64s(vec![7]);
-        let (p, b) = probe_hash(&table, &probe_keys, None, None, 0, 1);
+        let (p, b) = probe_hash(&table, &all(&probe_keys), None, None, 0);
         assert_eq!(p, vec![0, 0, 0]);
         assert_eq!(b, vec![0, 2, 3]);
     }
@@ -1212,7 +1148,7 @@ mod tests {
     fn probe_resolves_provenance() {
         let build_keys = i64s(vec![7]);
         let table = JoinTable {
-            map: FlatJoinMap::from_parts([build_hash_part(&build_keys, 0, 1)]),
+            map: FlatJoinMap::from_parts([build_hash_part(all(&build_keys))]),
             build_origin: None,
             build_table: "orders",
         };
@@ -1221,11 +1157,10 @@ mod tests {
         let build_origin = vec![99u32];
         let (p, b) = probe_hash(
             &table,
-            &probe_keys,
+            &all(&probe_keys),
             Some(&probe_origin),
             Some(&build_origin),
             0,
-            1,
         );
         assert_eq!(p, vec![42]);
         assert_eq!(b, vec![99]);

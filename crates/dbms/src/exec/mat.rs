@@ -1,11 +1,20 @@
 //! Materialised intermediates.
 //!
 //! MonetDB is operator-at-a-time: every operator fully materialises its
-//! result BAT before dependents run. [`Mat`] is the in-memory value of a
-//! completed plan node; [`NodeStorage`] is its *simulated* backing memory.
-//! Because every partition task allocates and first-touches its own slice
-//! of the output, intermediates end up homed across the NUMA nodes that
-//! executed the operator — the effect the adaptive priority mode tracks.
+//! result BAT before dependents run. The simulated charges model exactly
+//! that: [`NodeStorage`] is a node's *simulated* backing memory, and
+//! because every partition task allocates and first-touches its own
+//! slice of the output, intermediates end up homed across the NUMA nodes
+//! that executed the operator — the effect the adaptive priority mode
+//! tracks.
+//!
+//! [`Mat`] is the in-memory value of a completed plan node. It holds the
+//! operator's full result for every operator but the projections, which
+//! are late-materialised on the host: a `Project`/`ProjectSide` node's
+//! value is the positions it reads through ([`Mat::Pos`], an `Arc` share
+//! of its input's positions), and each consumer gathers the values of
+//! its own partition from the base column. A projection at a plan root
+//! is gathered into a [`Mat::Val`] once, when the query completes.
 
 use crate::storage::bat::{ColData, ROWS_PER_SEG};
 use numa_sim::{Region, SegId};

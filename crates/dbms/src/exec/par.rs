@@ -17,8 +17,13 @@
 //! uses (`super::engine::assemble_parts`) —
 //! so with `n_workers` equal to the simulated machine's core count both
 //! backends produce bitwise-identical query results, and shrinking the
-//! pool changes timing, not answers. There is no memo cache here: every
-//! execution is real work, which is the point of this backend.
+//! pool changes timing, not answers. Projections are late-materialised
+//! here exactly as on the simulator: their value is the positions they
+//! read through, consumers gather their partition from the base column
+//! through the same `ExecInputs::node_vals`, and a projection at a plan
+//! root is gathered once, outside the pool lock, when it is assembled.
+//! There is no memo cache here: every execution is real work, which is
+//! the point of this backend.
 //!
 //! ## Failure model
 //!
@@ -55,7 +60,8 @@
 //! the backend-equivalence invariant survives recovery.
 
 use crate::exec::engine::{
-    assemble_parts, evaluate_partition_on, primary_input, EngineStats, ExecInputs, QueryResult,
+    assemble_parts, evaluate_partition_on, primary_input, root_result, EngineStats, ExecInputs,
+    QueryResult,
 };
 use crate::exec::fault::{FaultPlan, WorkerFaultKind};
 use crate::exec::mat::Mat;
@@ -162,11 +168,16 @@ impl BaseData {
 /// [`ExecInputs`] over a lock-free snapshot: base columns plus the mats
 /// of already-finished nodes, cloned under the lock before evaluation.
 struct Snapshot<'a> {
+    plan: &'a Plan,
     base: &'a BaseData,
     mats: &'a [Option<Mat>],
 }
 
 impl ExecInputs for Snapshot<'_> {
+    fn plan(&self) -> &Plan {
+        self.plan
+    }
+
     fn col_data(&self, c: &ColRef) -> &ColData {
         self.base.col(c)
     }
@@ -1047,6 +1058,7 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, my_gen: u64) {
         let t0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let inputs = Snapshot {
+                plan: &plan,
                 base: &shared.base,
                 mats: &mats,
             };
@@ -1121,10 +1133,18 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, my_gen: u64) {
             let t1 = Instant::now();
             let assembled = catch_unwind(AssertUnwindSafe(|| {
                 let inputs = Snapshot {
+                    plan: &plan,
                     base: &shared.base,
                     mats: &mats,
                 };
-                assemble_parts(op, &inputs, partials, None)
+                let mat = assemble_parts(op, &inputs, partials, None);
+                // The root's value is the query result: a projection
+                // there is gathered now, outside the lock.
+                if task.node == plan.root() {
+                    root_result(op, mat, &inputs)
+                } else {
+                    mat
+                }
             }));
             elapsed += SimDuration::from_nanos(t1.elapsed().as_nanos() as u64);
             st = shared.lock_state();

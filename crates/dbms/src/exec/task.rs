@@ -47,13 +47,12 @@ pub struct Task {
 pub enum Partial {
     /// Selected positions.
     Pos(Vec<u32>),
-    /// Projected / computed f64 values.
-    ValsF64(Vec<f64>),
-    /// Projected i64 values.
-    ValsI64(Vec<i64>),
-    /// Rows written in place into the node's shared output buffer
-    /// (fixed-width value operators; see `NodeRun::out_vals`).
-    Written(usize),
+    /// Computed values (`BinOp`).
+    Vals(Vec<f64>),
+    /// Rows produced without a partition buffer: written in place into
+    /// the node's shared output buffer (`BinOp`; see
+    /// `NodeRun::out_vals`), or read through positions (projections).
+    Rows(usize),
     /// Join matches `(probe base positions, build base positions)`.
     PairParts(Vec<u32>, Vec<u32>),
     /// Partial sum.

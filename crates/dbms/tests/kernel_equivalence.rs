@@ -7,7 +7,9 @@
 //! selection kernels, both column-compare modes, all arithmetic /
 //! aggregate shapes, flat-vs-hash group-by (with the merge combining
 //! mixed accumulator forms), the flat join build/probe roundtrip with
-//! provenance, and `top_n`.
+//! provenance, and `top_n`. The value kernels are also checked over a
+//! gather view (`Vals::gather`, how consumers read a late-materialised
+//! projection) against the same kernel over `eval::project` output.
 //!
 //! Values are drawn from ranges where f64 arithmetic is exact (the
 //! engine's generated data lives well inside them), so float aggregate
@@ -17,10 +19,10 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use volcano_db::exec::eval::{self, reference, GroupAcc, ValsBuf};
+use volcano_db::exec::eval::{self, reference, GroupAcc, Vals};
 use volcano_db::exec::mat::{FlatJoinMap, JoinTable};
 use volcano_db::exec::plan::{AggKind, ArithOp, CmpOp, ScalarPred};
-use volcano_db::storage::{ColData, ColType};
+use volcano_db::storage::ColData;
 
 const CASES: u32 = 64;
 
@@ -161,44 +163,95 @@ proptest! {
         let start = cut * n / 100;
         let op = arith_op(op_idx);
         for lc in both_cols(&vals[..n]) {
+            let l = Vals::slice(&lc, start, n);
             for rc in both_cols(&r_vals[..n]) {
-                prop_assert_eq!(
-                    eval::bin_op(&lc, &rc, op, start, n),
-                    reference::bin_op(&lc, &rc, op, start, n)
-                );
+                let r = Vals::slice(&rc, start, n);
+                let want = reference::bin_op(&lc, &rc, op, start, n);
+                prop_assert_eq!(&eval::bin_op(&l, &r, op), &want);
                 // The in-place form must write the identical slice.
-                let mut buf = ValsBuf::new(ColType::F64, n);
-                eval::bin_op_into(&lc, &rc, op, start, n, &mut buf);
-                let ColData::F64(written) = buf.into_coldata() else {
-                    unreachable!()
-                };
-                prop_assert_eq!(
-                    &written[start..n],
-                    &reference::bin_op(&lc, &rc, op, start, n)[..]
-                );
+                let mut written = vec![0.0; n];
+                eval::bin_op_into(&l, &r, op, &mut written[start..n]);
+                prop_assert_eq!(&written[start..n], &want[..]);
             }
             prop_assert_eq!(
-                eval::aggr_sum(&lc, start, n),
+                eval::aggr_sum(&l),
                 reference::aggr_sum(&lc, start, n)
             );
         }
     }
 
     #[test]
-    fn project_into_matches_project(
+    fn gather_view_matches_projected_kernels(
+        keys in proptest::collection::vec(0i64..60, 1..200),
         vals in proptest::collection::vec(-1000i64..1000, 1..200),
-        picks in proptest::collection::vec(0usize..200, 1..100),
+        picks in proptest::collection::vec(0usize..200, 1..160),
+        build in proptest::collection::vec(0i64..60, 1..80),
+        op_idx in 0u8..4,
+        cut in (0usize..100, 0usize..100),
     ) {
-        let pos: Vec<u32> = picks.iter().map(|&p| (p % vals.len()) as u32).collect();
-        for col in both_cols(&vals) {
-            let copied = eval::project(&pos, &col);
-            let mut buf = ValsBuf::new(col.col_type(), pos.len());
-            eval::project_into(&pos, &col, &mut buf, 0);
-            let in_place = buf.into_coldata();
-            match (copied, in_place) {
-                (ColData::I64(a), ColData::I64(b)) => prop_assert_eq!(a, b),
-                (ColData::F64(a), ColData::F64(b)) => prop_assert_eq!(a, b),
-                _ => prop_assert!(false, "projection changed the column type"),
+        // A projection `base[pos]` read partition `[s, e)` at a time
+        // through the gather view must feed every value kernel exactly
+        // what the materialised projection's rows `[s, e)` would.
+        let n = keys.len().min(vals.len());
+        let pos: Vec<u32> = picks.iter().map(|&p| (p % n) as u32).collect();
+        let s = cut.0 * pos.len() / 100;
+        let e = s + cut.1 * (pos.len() - s) / 100;
+        let op = arith_op(op_idx);
+        let table = JoinTable {
+            map: FlatJoinMap::from_parts([eval::build_hash_part(Vals::slice(
+                &i64_col(&build), 0, build.len(),
+            ))]),
+            build_origin: None,
+            build_table: "orders",
+        };
+        let ref_map = reference::build_hash(&i64_col(&build), 0, build.len());
+        for kc in both_cols(&keys[..n]) {
+            let k_proj = eval::project(&pos, &kc);
+            let k_view = Vals::gather(&kc, &pos[s..e]);
+            let k_mat = Vals::slice(&k_proj, s, e);
+            prop_assert_eq!(&k_view, &k_mat);
+            prop_assert_eq!(
+                eval::aggr_sum(&k_view).to_bits(),
+                eval::aggr_sum(&k_mat).to_bits()
+            );
+            prop_assert_eq!(
+                eval::build_hash_part(k_view.clone()),
+                eval::build_hash_part(k_mat.clone())
+            );
+            // Probe partitions at `s > 0` resolve base positions through
+            // the projection's own positions, indexed by global row.
+            let probed = eval::probe_hash(&table, &k_view, Some(&pos), None, s);
+            prop_assert_eq!(
+                &probed,
+                &eval::probe_hash(&table, &k_mat, Some(&pos), None, s)
+            );
+            prop_assert_eq!(
+                probed,
+                reference::probe_hash(&ref_map, &k_proj, Some(&pos), None, s, e)
+            );
+            for vc in both_cols(&vals[..n]) {
+                let v_proj = eval::project(&pos, &vc);
+                let v_view = Vals::gather(&vc, &pos[s..e]);
+                let v_mat = Vals::slice(&v_proj, s, e);
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                prop_assert_eq!(
+                    bits(eval::bin_op(&k_view, &v_view, op)),
+                    bits(eval::bin_op(&k_mat, &v_mat, op))
+                );
+                for agg in [AggKind::Sum, AggKind::Count] {
+                    let view = eval::merge_groups([eval::group_agg(&k_view, Some(&v_view), agg)]);
+                    let mat = eval::merge_groups([eval::group_agg(&k_mat, Some(&v_mat), agg)]);
+                    let bits = |g: Vec<(i64, f64)>| {
+                        g.into_iter().map(|(k, v)| (k, v.to_bits())).collect::<Vec<_>>()
+                    };
+                    // Float keys included: they group by their
+                    // truncated value, like the reference.
+                    let want = reference::merge_groups([reference::group_agg(
+                        &k_proj, Some(&v_proj), agg, s, e,
+                    )]);
+                    prop_assert_eq!(bits(mat), bits(want.clone()));
+                    prop_assert_eq!(bits(view), bits(want));
+                }
             }
         }
     }
@@ -226,7 +279,8 @@ proptest! {
         let mut ref_parts = Vec::new();
         for p in 0..n_parts {
             let (s, e) = (n * p / n_parts, n * (p + 1) / n_parts);
-            parts.push(eval::group_agg(&kc, values, agg, s, e));
+            let v = values.map(|v| Vals::slice(v, s, e));
+            parts.push(eval::group_agg(&Vals::slice(&kc, s, e), v.as_ref(), agg));
             ref_parts.push(reference::group_agg(&kc, values, agg, s, e));
         }
         prop_assert_eq!(
@@ -254,7 +308,7 @@ proptest! {
         let parts: Vec<Vec<i64>> = (0..n_parts)
             .map(|p| {
                 let (s, e) = (n * p / n_parts, n * (p + 1) / n_parts);
-                eval::build_hash_part(&i64_col(&build), s, e)
+                eval::build_hash_part(Vals::slice(&i64_col(&build), s, e))
             })
             .collect();
         let table = JoinTable {
@@ -269,18 +323,19 @@ proptest! {
             }),
         );
         let probe_col = i64_col(&probe);
+        let all_probe = Vals::slice(&probe_col, 0, probe.len());
         let (po, bo);
         if with_origins == 1 {
             let probe_origin: Vec<u32> = (0..probe.len() as u32).map(|i| i * 3 + 1).collect();
             let build_origin: Vec<u32> = (0..n as u32).map(|i| i * 5 + 2).collect();
             po = eval::probe_hash(
-                &table, &probe_col, Some(&probe_origin), Some(&build_origin), 0, probe.len(),
+                &table, &all_probe, Some(&probe_origin), Some(&build_origin), 0,
             );
             bo = reference::probe_hash(
                 &ref_map, &probe_col, Some(&probe_origin), Some(&build_origin), 0, probe.len(),
             );
         } else {
-            po = eval::probe_hash(&table, &probe_col, None, None, 0, probe.len());
+            po = eval::probe_hash(&table, &all_probe, None, None, 0);
             bo = reference::probe_hash(&ref_map, &probe_col, None, None, 0, probe.len());
         }
         prop_assert_eq!(po, bo);

@@ -43,6 +43,7 @@
 
 use crate::backend::Backend;
 use crate::config::Warmup;
+use crate::runner::MEMO_CAPACITY;
 use crate::spec::SpecError;
 use crate::tenants::{MultiTenantConfig, MultiTenantOutput, TenantOutput, TenantRunConfig};
 use elastic_core::{ElasticMechanism, MechanismConfig, PolicyId, TenantArbiter, TenantBinding};
@@ -409,7 +410,7 @@ pub fn run_tenants_churn(config: MultiTenantConfig, data: &TpchData) -> MultiTen
             let engine = Engine::new(
                 EngineConfig {
                     flavor: config.flavor,
-                    memo_capacity: 4096,
+                    memo_capacity: MEMO_CAPACITY,
                     faults: config.faults.clone(),
                     fault_seed: config.scale.seed,
                     ..EngineConfig::default()

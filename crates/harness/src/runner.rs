@@ -127,6 +127,10 @@ pub(crate) struct SimStack {
     pub engine: Engine,
 }
 
+/// Memo cache capacity (entries before an epoch flush) of every
+/// simulated engine the harness builds.
+pub(crate) const MEMO_CAPACITY: usize = 4096;
+
 /// Builds the simulated machine, engine, and worker group for `config`.
 pub(crate) fn build_sim_stack(config: &RunConfig, data: &TpchData) -> SimStack {
     let kernel_cfg = KernelConfig::default();
@@ -140,7 +144,7 @@ pub(crate) fn build_sim_stack(config: &RunConfig, data: &TpchData) -> SimStack {
     let engine = Engine::new(
         EngineConfig {
             flavor: config.flavor,
-            memo_capacity: 4096,
+            memo_capacity: MEMO_CAPACITY,
             faults: config.faults.clone(),
             fault_seed: config.scale.seed,
             ..EngineConfig::default()

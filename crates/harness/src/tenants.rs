@@ -13,6 +13,7 @@
 
 use crate::backend::Backend;
 use crate::config::Warmup;
+use crate::runner::MEMO_CAPACITY;
 use elastic_core::{
     ArbiterMode, ElasticMechanism, MechanismConfig, Policy, PolicyId, SlaCappedPolicy, SlaPolicy,
     TenantArbiter, TenantBinding,
@@ -498,7 +499,7 @@ pub fn run_tenants(config: MultiTenantConfig, data: &TpchData) -> MultiTenantOut
         let engine = Engine::new(
             EngineConfig {
                 flavor: config.flavor,
-                memo_capacity: 4096,
+                memo_capacity: MEMO_CAPACITY,
                 faults: config.faults.clone(),
                 fault_seed: config.scale.seed,
                 ..EngineConfig::default()

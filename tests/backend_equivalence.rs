@@ -9,8 +9,18 @@ use elastic_core::ArbiterMode;
 use emca_harness::{
     run, run_tenants, Alloc, Backend, ChurnSpec, MultiTenantConfig, RunConfig, TenantRunConfig,
 };
+use emca_metrics::{SimDuration, SimTime};
+use os_sim::{CoreMask, Kernel, KernelConfig, SimWork, StepOutcome, WorkCtx};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 use volcano_db::client::Workload;
-use volcano_db::exec::engine::QueryResult;
+use volcano_db::exec::engine::{Engine, EngineConfig, QueryResult};
+use volcano_db::exec::eval;
+use volcano_db::exec::mat::{Mat, ValMat};
+use volcano_db::exec::par::{BaseData, ParEngine, ParEngineConfig};
+use volcano_db::exec::plan::{col, CmpOp, PhysOp, Plan, ScalarPred, Side};
+use volcano_db::storage::ColData;
 use volcano_db::tpch::{QuerySpec, TpchData, TpchScale};
 
 /// A mixed workload exercising per-client RNG sequencing, joins,
@@ -223,5 +233,165 @@ fn churn_threads_run_loses_nothing_and_matches_sim_values() {
             "tenant {} diverged across backends",
             s.config.name
         );
+    }
+}
+
+/// A sim client that submits one plan and keeps its result.
+struct OneShot {
+    engine: Engine,
+    plan: Rc<Plan>,
+    qid: Option<volcano_db::exec::task::QueryId>,
+    out: Rc<RefCell<Option<QueryResult>>>,
+}
+
+impl SimWork for OneShot {
+    fn step(&mut self, ctx: &mut WorkCtx<'_>) -> StepOutcome {
+        let Some(qid) = self.qid else {
+            self.qid = Some(
+                self.engine
+                    .submit(ctx, self.plan.clone(), 0, SimDuration::ZERO),
+            );
+            return StepOutcome::Blocked(SimDuration::ZERO);
+        };
+        match self.engine.take_result(qid) {
+            Some(r) => {
+                *self.out.borrow_mut() = Some(r.expect("query failed"));
+                StepOutcome::Finished(SimDuration::ZERO)
+            }
+            None => StepOutcome::Blocked(SimDuration::ZERO),
+        }
+    }
+
+    fn label(&self) -> &str {
+        "one-shot"
+    }
+}
+
+fn run_plan_sim(plan: &Plan, data: &TpchData) -> Mat {
+    let kernel_cfg = KernelConfig::default();
+    let machine = numa_sim::Machine::new(numa_sim::MachineConfig::opteron_4x4(), kernel_cfg.tick);
+    let mut kernel = Kernel::new(machine, kernel_cfg);
+    let engine = Engine::new(
+        EngineConfig::default(),
+        kernel.machine().topology().n_nodes(),
+    );
+    engine.load(kernel.machine_mut(), data, None);
+    let group = kernel.create_group(CoreMask::all(kernel.machine().topology()));
+    engine.start_workers(&mut kernel, group);
+    let out = Rc::new(RefCell::new(None));
+    let client = OneShot {
+        engine,
+        plan: Rc::new(plan.clone()),
+        qid: None,
+        out: out.clone(),
+    };
+    kernel.spawn("client0", group, None, Box::new(client));
+    assert!(
+        kernel.run_until_cond(SimTime::from_secs(60), |_| out.borrow().is_some()),
+        "{} did not finish on sim",
+        plan.label
+    );
+    let result = out.borrow_mut().take().expect("result");
+    result.result
+}
+
+fn run_plan_threads(plan: &Plan, data: &TpchData) -> Mat {
+    let engine = ParEngine::new(
+        ParEngineConfig {
+            n_workers: 16,
+            initial_active: 16,
+            ..ParEngineConfig::default()
+        },
+        Arc::new(BaseData::from_tpch(data)),
+    );
+    let qid = engine.submit(Arc::new(plan.clone()), 0);
+    engine.wait_result(qid).expect("query failed").result
+}
+
+/// The result value bit for bit: floats by their bit pattern.
+fn bits(v: &ValMat) -> (Vec<u64>, Option<(&'static str, Vec<u32>)>) {
+    let data = match &v.data {
+        ColData::I64(x) => x.iter().map(|&x| x as u64).collect(),
+        ColData::F64(x) => x.iter().map(|x| x.to_bits()).collect(),
+    };
+    let origin = v.origin.as_ref().map(|o| (o.table, o.pos.to_vec()));
+    (data, origin)
+}
+
+#[test]
+fn projection_roots_return_materialised_values_on_both_backends() {
+    // Projections are late-materialised: inside a plan their value is
+    // the positions they read through. A projection at the root must
+    // still hand the caller a `Mat::Val` — `eval::project` over those
+    // positions, with them as the origin — identically on both backends.
+    let data = TpchData::generate(TpchScale::test_tiny());
+    let qty_pred = ScalarPred::Cmp(CmpOp::Lt, 24.0);
+
+    let mut project_root = Plan::new("project_root");
+    let sel = project_root.add(PhysOp::ScanSelect {
+        col: col("lineitem", "l_quantity"),
+        pred: qty_pred.clone(),
+    });
+    project_root.add(PhysOp::Project {
+        positions: sel,
+        col: col("lineitem", "l_extendedprice"),
+    });
+
+    let mut side_root = Plan::new("project_side_root");
+    let ord = side_root.add(PhysOp::ScanSelect {
+        col: col("orders", "o_orderdate"),
+        pred: ScalarPred::Cmp(CmpOp::Ge, 0.0),
+    });
+    let ord_keys = side_root.add(PhysOp::Project {
+        positions: ord,
+        col: col("orders", "o_orderkey"),
+    });
+    let li = side_root.add(PhysOp::ScanSelect {
+        col: col("lineitem", "l_quantity"),
+        pred: qty_pred.clone(),
+    });
+    let li_keys = side_root.add(PhysOp::Project {
+        positions: li,
+        col: col("lineitem", "l_orderkey"),
+    });
+    let build = side_root.add(PhysOp::JoinBuild { keys: ord_keys });
+    let pairs = side_root.add(PhysOp::JoinProbe {
+        build,
+        probe: li_keys,
+    });
+    side_root.add(PhysOp::ProjectSide {
+        pairs,
+        side: Side::Build,
+        col: col("orders", "o_custkey"),
+    });
+
+    let qty = data.column("lineitem", "l_quantity");
+    let selected = eval::scan_select(qty, 0, qty.len(), &qty_pred);
+    for (plan, table, column, positions) in [
+        (
+            &project_root,
+            "lineitem",
+            "l_extendedprice",
+            Some(&selected),
+        ),
+        (&side_root, "orders", "o_custkey", None),
+    ] {
+        let sim = run_plan_sim(plan, &data);
+        let thr = run_plan_threads(plan, &data);
+        let (Mat::Val(sim), Mat::Val(thr)) = (&sim, &thr) else {
+            panic!("{}: a projection root must return values", plan.label);
+        };
+        let origin = sim.origin.as_ref().expect("projection keeps its origin");
+        assert_eq!(origin.table, table);
+        let want = ValMat {
+            data: eval::project(&origin.pos, data.column(table, column)),
+            origin: Some(origin.clone()),
+        };
+        assert_eq!(bits(sim), bits(&want), "{} on sim", plan.label);
+        assert_eq!(bits(thr), bits(&want), "{} on threads", plan.label);
+        assert!(!origin.pos.is_empty(), "{} selected nothing", plan.label);
+        if let Some(positions) = positions {
+            assert_eq!(origin.pos.as_slice(), positions.as_slice());
+        }
     }
 }

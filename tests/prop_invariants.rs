@@ -190,7 +190,7 @@ proptest! {
     #[test]
     fn group_agg_partition_invariant(rows in proptest::collection::vec((0i64..10, 0.0f64..10.0), 1..300),
                                      n_parts in 1u32..6) {
-        use volcano_db::exec::eval::{group_agg, merge_groups};
+        use volcano_db::exec::eval::{group_agg, merge_groups, Vals};
         use volcano_db::exec::plan::AggKind;
         use volcano_db::exec::task::part_range;
         use volcano_db::storage::ColData;
@@ -199,10 +199,11 @@ proptest! {
         let vals = ColData::F64(Arc::new(rows.iter().map(|r| r.1).collect()));
         let parts = (0..n_parts).map(|p| {
             let (s, e) = part_range(rows.len(), p, n_parts);
-            group_agg(&keys, Some(&vals), AggKind::Sum, s, e)
+            group_agg(&Vals::slice(&keys, s, e), Some(&Vals::slice(&vals, s, e)), AggKind::Sum)
         });
         let merged = merge_groups(parts);
-        let single = merge_groups([group_agg(&keys, Some(&vals), AggKind::Sum, 0, rows.len())]);
+        let (k, v) = (Vals::slice(&keys, 0, rows.len()), Vals::slice(&vals, 0, rows.len()));
+        let single = merge_groups([group_agg(&k, Some(&v), AggKind::Sum)]);
         prop_assert_eq!(merged.len(), single.len());
         for (a, b) in merged.iter().zip(&single) {
             prop_assert_eq!(a.0, b.0);
